@@ -7,7 +7,7 @@ GO ?= go
 COVER_FLOOR ?= 60
 COVER_PKGS  ?= ./internal/serve:70 ./internal/analysis:75 ./internal/pso:70 ./internal/pipeline:$(COVER_FLOOR) ./internal/detect:$(COVER_FLOOR) ./internal/quant:$(COVER_FLOOR) ./internal/track:$(COVER_FLOOR)
 
-.PHONY: all build binaries vet lint test short race purego arm64 bench bench-quant bench-track bench-serve bench-search bench-search-short bench-json cover check ci
+.PHONY: all build binaries vet lint test short race purego arm64 bench bench-quant bench-track bench-serve bench-search bench-search-short bench-serve-short bench-json cover check ci
 
 all: ci
 
@@ -114,6 +114,13 @@ bench-search:
 bench-search-short:
 	$(GO) run ./cmd/skynet-bench -search-out $(if $(TMPDIR),$(TMPDIR),/tmp)/BENCH_search_short.json -search-short
 
+# bench-serve-short re-runs the serving scenario suite at a tenth of the
+# committed peak (640 clients), writing to a scratch file: the CI gate for
+# the 1-vs-N replica byte-identity check and the p99 SLO (skynet-bench
+# exits non-zero if either fails) without touching BENCH_serve.json.
+bench-serve-short:
+	$(GO) run ./cmd/skynet-bench -serve-out $(if $(TMPDIR),$(TMPDIR),/tmp)/BENCH_serve_short.json -serve-clients 640
+
 # bench-json regenerates the committed machine-readable baselines:
 # BENCH_gemm.json (GFLOPS trajectory — every kernel at SkyNet GEMM shapes,
 # serial, with allocation counts) and BENCH_track.json (tracking backends).
@@ -138,8 +145,9 @@ cover:
 
 # ci is the single verification entry point: everything must pass before a
 # commit lands. bench-search-short re-executes the search determinism
-# proofs; cover enforces the per-package floors above.
-ci: vet lint test race purego arm64 build binaries bench-search-short cover
+# proofs, bench-serve-short the serving identity and SLO gates; cover
+# enforces the per-package floors above.
+ci: vet lint test race purego arm64 build binaries bench-search-short bench-serve-short cover
 
 # check is kept as an alias for ci (the historical name).
 check: ci

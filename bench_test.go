@@ -195,49 +195,51 @@ func BenchmarkFig9Tiling(b *testing.B) {
 // BenchmarkFig10Pipeline measures the live three-stage pipelined executor
 // against serial execution on a compute workload.
 func BenchmarkFig10Pipeline(b *testing.B) {
-	work := func(v any) any {
+	work := func(_ context.Context, v any) (any, error) {
 		x := v.(int)
 		for k := 0; k < 2000; k++ {
 			x = x*1664525 + 1013904223
 		}
-		return x
+		return x, nil
 	}
-	p := &pipeline.Pipeline{Stages: []pipeline.Stage{
-		{Name: pipeline.StagePre, Proc: work},
-		{Name: pipeline.StageInfer, Proc: work},
-		{Name: pipeline.StagePost, Proc: work},
-	}}
 	items := make([]any, 64)
 	for i := range items {
 		items[i] = i
 	}
 	b.Run("serial", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			p.RunSerial(items)
-		}
-	})
-	b.Run("pipelined", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			p.RunPipelined(items, 2)
-		}
-	})
-	// The production streaming executor with the compute stage scaled out
-	// across workers — the Figure 10 design plus per-stage scale-out.
-	ex, err := pipeline.NewExecutor(2,
-		pipeline.StageSpec{Name: pipeline.StagePre, Proc: func(_ context.Context, v any) (any, error) { return work(v), nil }},
-		pipeline.StageSpec{Name: pipeline.StageInfer, Workers: 4, Proc: func(_ context.Context, v any) (any, error) { return work(v), nil }},
-		pipeline.StageSpec{Name: pipeline.StagePost, Proc: func(_ context.Context, v any) (any, error) { return work(v), nil }},
-	)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("executor-4w", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := ex.Run(context.Background(), items); err != nil {
-				b.Fatal(err)
+			for _, v := range items {
+				var err error
+				for s := 0; s < 3 && err == nil; s++ {
+					v, err = work(context.Background(), v)
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
 	})
+	run := func(name string, inferWorkers int) {
+		ex, err := pipeline.NewExecutor(2,
+			pipeline.StageSpec{Name: pipeline.StagePre, Proc: work},
+			pipeline.StageSpec{Name: pipeline.StageInfer, Workers: inferWorkers, Proc: work},
+			pipeline.StageSpec{Name: pipeline.StagePost, Proc: work},
+		)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := ex.Run(context.Background(), items); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+	run("pipelined", 1)
+	// The Figure 10 design plus per-stage scale-out: the compute stage
+	// spread across workers.
+	run("executor-4w", 4)
 }
 
 // BenchmarkTable8SiamRPN measures one tracking step per backbone.

@@ -146,13 +146,14 @@ func checkIdentical(n int) (bool, error) {
 			return nil, err
 		}
 		defer stop()
-		lg := &serve.LoadGen{URL: url, Clients: 16, Requests: 4, Images: imgs, Client: serve.ScenarioClient()}
-		rep, err := lg.Run(context.Background())
+		sc := &serve.Scenario{Name: "identity", URL: url, Images: imgs,
+			Phases: []serve.Phase{{Name: "identity", Clients: 16, Requests: 4}}}
+		rep, err := sc.Run(context.Background())
 		if err != nil {
 			return nil, err
 		}
-		if errs := rep.Errors(); len(errs) != 0 {
-			return nil, fmt.Errorf("identity run (%d replicas): %d non-200 outcomes", replicas, len(errs))
+		if bad := rep.Detect.Offered - rep.Detect.OK; bad != 0 {
+			return nil, fmt.Errorf("identity run (%d replicas): %d non-200 outcomes", replicas, bad)
 		}
 		out := make(map[int][]byte)
 		for _, res := range rep.Results {

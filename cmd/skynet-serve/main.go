@@ -1,7 +1,8 @@
 // Command skynet-serve exposes a trained SkyNet detector as an HTTP
 // service: POST /detect takes a JSON image tensor and answers with the
-// decoded bounding box, /metrics exports the serving counters (queue
-// depth, latency quantiles, per-stage occupancy, mean batch size),
+// decoded bounding box, /metrics exports the pool's counters (served,
+// cached, rejected, latency quantiles, and per replica the queue depth,
+// per-stage occupancy and mean batch size),
 // /healthz is the load-balancer probe, and /debug/pprof/* the standard
 // profiles. Requests from concurrent clients are dynamically micro-batched
 // through the streaming executor, so one weight load serves many users.
@@ -152,9 +153,8 @@ func main() {
 	fmt.Printf("skynet-serve: drained cleanly — served %d (+%d cached), failed %d, rejected %d, swaps %d\n",
 		m.Served, m.CacheServed, m.Failed, m.Rejected, m.Swaps)
 	if ts != nil {
-		dctx, cancel := context.WithTimeout(context.Background(), *drain)
-		_ = ts.Drain(dctx)
-		cancel()
+		// Pool.Drain (inside ListenAndServe) already drained the attached
+		// tracking service.
 		tm := ts.Metrics()
 		fmt.Printf("skynet-serve: tracking drained — %d sessions started, %d frames stepped\n",
 			tm.Started, tm.Steps)

@@ -1,8 +1,9 @@
 // Serving: train a compact SkyNet detector for a few epochs, stand it up
-// as an in-process HTTP detection service, and hit it with concurrent
-// clients through the load generator — demonstrating dynamic micro-batching
-// (mean batch size > 1 under concurrency), the bounded admission queue,
-// and the /metrics observability surface, all on one CPU.
+// as an in-process HTTP detection service (a one-replica serve.Pool), and
+// hit it with concurrent clients through the scenario load driver —
+// demonstrating dynamic micro-batching (mean batch size > 1 under
+// concurrency), the bounded admission queue, and the /metrics
+// observability surface, all on one CPU.
 package main
 
 import (
@@ -38,10 +39,12 @@ func main() {
 	})
 
 	// 2. The serving pipeline: bounded admission, micro-batched inference.
-	srv, err := serve.New(model, head, serve.Config{
-		MaxBatch: 8,
-		MaxDelay: 4 * time.Millisecond,
-	})
+	//    One replica, cache off, so every request reaches the model.
+	srv, err := serve.NewPool(func() (detect.Model, *detect.Head, error) { return model, head, nil },
+		serve.PoolConfig{Replicas: 1, CacheEntries: -1, Replica: serve.Config{
+			MaxBatch: 8,
+			MaxDelay: 4 * time.Millisecond,
+		}})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -62,21 +65,23 @@ func main() {
 	for i := range images {
 		images[i] = gen.Scene().Image
 	}
-	lg := &serve.LoadGen{URL: url, Clients: 16, Requests: 4, Images: images}
-	report, err := lg.Run(context.Background())
+	sc := &serve.Scenario{URL: url, Images: images,
+		Phases: []serve.Phase{{Name: "load", Clients: 16, Requests: 4}}}
+	report, err := sc.Run(context.Background())
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 	fmt.Printf("load: %d requests in %v — %d ok, %d errors\n",
-		len(report.Results), report.Elapsed.Round(time.Millisecond),
-		report.Count(http.StatusOK), len(report.Errors()))
+		report.Detect.Offered, report.Elapsed.Round(time.Millisecond),
+		report.Detect.OK, report.Detect.Offered-report.Detect.OK)
 
 	// 4. What the service observed.
-	m := srv.Metrics()
-	fmt.Printf("served %d  failed %d  rejected %d\n", m.Served, m.Failed, m.Rejected)
+	pm := srv.Metrics()
+	m := pm.ReplicaMetrics[0]
+	fmt.Printf("served %d  failed %d  rejected %d\n", pm.Served, pm.Failed, pm.Rejected)
 	fmt.Printf("latency: mean %.2fms  p50 %.2fms  p95 %.2fms  p99 %.2fms\n",
-		m.Latency.MeanMS, m.Latency.P50MS, m.Latency.P95MS, m.Latency.P99MS)
+		pm.Latency.MeanMS, pm.Latency.P50MS, pm.Latency.P95MS, pm.Latency.P99MS)
 	fmt.Printf("mean inference batch: %.2f images/forward (batching leverage: "+
 		"one weight load amortized over concurrent users)\n", m.MeanBatchSize)
 	for _, st := range m.Stages {

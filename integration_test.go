@@ -184,26 +184,25 @@ func TestIntegrationPipelineOverTrainedModel(t *testing.T) {
 		pred *tensor.Tensor
 		box  detect.Box
 	}
-	stages := []pipeline.Stage{
-		{Name: pipeline.StagePre, Proc: func(v any) any {
+	stages := []pipeline.StageSpec{
+		{Name: pipeline.StagePre, Proc: func(_ context.Context, v any) (any, error) {
 			f := v.(*item)
 			c, h, w := f.img.Dim(0), f.img.Dim(1), f.img.Dim(2)
 			f.x = f.img.Clone().Reshape(1, c, h, w)
-			return f
+			return f, nil
 		}},
-		{Name: pipeline.StageInfer, Proc: func(v any) any {
+		{Name: pipeline.StageInfer, Proc: func(_ context.Context, v any) (any, error) {
 			f := v.(*item)
 			f.pred = model.Forward(f.x, false)
-			return f
+			return f, nil
 		}},
-		{Name: pipeline.StagePost, Proc: func(v any) any {
+		{Name: pipeline.StagePost, Proc: func(_ context.Context, v any) (any, error) {
 			f := v.(*item)
 			boxes, _ := head.Decode(f.pred)
 			f.box = boxes[0]
-			return f
+			return f, nil
 		}},
 	}
-	p := &pipeline.Pipeline{Stages: stages}
 	mk := func() []any {
 		items := make([]any, 6)
 		g2 := dataset.NewGenerator(dcfg)
@@ -213,8 +212,23 @@ func TestIntegrationPipelineOverTrainedModel(t *testing.T) {
 		}
 		return items
 	}
-	ser := p.RunSerial(mk())
-	pip := p.RunPipelined(mk(), 2)
+	// Serial reference: each item through every stage before the next.
+	ser := mk()
+	for _, it := range ser {
+		for _, st := range stages {
+			if _, err := st.Proc(context.Background(), it); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	ex, err := pipeline.NewExecutor(2, stages...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pip, err := ex.Run(context.Background(), mk())
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := range ser {
 		if ser[i].(*item).box != pip[i].(*item).box {
 			t.Fatalf("pipelined result %d differs from serial", i)
@@ -310,7 +324,7 @@ func TestIntegrationMultiScaleDetector(t *testing.T) {
 }
 
 // TestIntegrationServingLoadMatchesSerial is the serving acceptance test:
-// concurrent clients hammer the HTTP service through the load generator,
+// concurrent clients hammer the HTTP service through the scenario driver,
 // every request must succeed, every response body must be byte-identical
 // to serial single-image inference through the same model, and /metrics
 // must show the dynamic batcher actually aggregating (mean batch > 1).
@@ -339,12 +353,15 @@ func TestIntegrationServingLoadMatchesSerial(t *testing.T) {
 		wantBody[i] = buf.Bytes()
 	}
 
-	srv, err := serve.New(model, head, serve.Config{
-		MaxBatch:       8,
-		MaxDelay:       4 * time.Millisecond,
-		QueueDepth:     256,
-		RequestTimeout: time.Minute,
-	})
+	// One replica with the response cache off: every request reaches the
+	// model, so Served counts them all and the batcher sees the load.
+	srv, err := serve.NewPool(func() (detect.Model, *detect.Head, error) { return model, head, nil },
+		serve.PoolConfig{Replicas: 1, CacheEntries: -1, Replica: serve.Config{
+			MaxBatch:       8,
+			MaxDelay:       4 * time.Millisecond,
+			QueueDepth:     256,
+			RequestTimeout: time.Minute,
+		}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,13 +373,15 @@ func TestIntegrationServingLoadMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		clients, perClient = 16, 1
 	}
-	lg := &serve.LoadGen{URL: ts.URL, Clients: clients, Requests: perClient, Images: images}
-	report, err := lg.Run(context.Background())
+	sc := &serve.Scenario{URL: ts.URL, Images: images,
+		Phases: []serve.Phase{{Name: "load", Clients: clients, Requests: perClient}}}
+	report, err := sc.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if errs := report.Errors(); len(errs) != 0 {
-		t.Fatalf("%d/%d requests failed under load; first: %+v", len(errs), len(report.Results), errs[0])
+	if report.Detect.Offered != clients*perClient || report.Detect.OK != report.Detect.Offered {
+		t.Fatalf("%d/%d requests failed under load; summary %+v",
+			report.Detect.Offered-report.Detect.OK, report.Detect.Offered, report.Detect)
 	}
 	for _, res := range report.Results {
 		if !bytes.Equal(res.Body, wantBody[res.Image]) {
@@ -376,15 +395,15 @@ func TestIntegrationServingLoadMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var m serve.Metrics
+	var m serve.PoolMetrics
 	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
 		t.Fatal(err)
 	}
 	if m.Served != int64(clients*perClient) {
 		t.Fatalf("served %d, want %d", m.Served, clients*perClient)
 	}
-	if m.MeanBatchSize <= 1 {
-		t.Fatalf("mean batch size %.2f — dynamic batching did not aggregate concurrent load", m.MeanBatchSize)
+	if mb := m.ReplicaMetrics[0].MeanBatchSize; mb <= 1 {
+		t.Fatalf("mean batch size %.2f — dynamic batching did not aggregate concurrent load", mb)
 	}
 }
 

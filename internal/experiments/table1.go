@@ -34,7 +34,7 @@ func Table1(o Options) Table {
 		"  6 double-pumped DSP     -> fpga.DSPPerMult packing table (fig2c)",
 		"  7 fine-grained pipeline -> fpga.Simulate tile-level double-buffered schedule",
 		"  8 clock gating          -> fpga.Report.PowerW utilization-proportional power model",
-		"  9 multithreading        -> pipeline.Pipeline goroutine executor (3.35x speedup)",
+		"  9 multithreading        -> pipeline.Executor three-stage streaming executor (3.35x speedup)",
 		"reference DNN analogs here: Tiny-YOLO-class heads (detect.NewClassHead), MobileNetV1 (backbone.MobileNetV1)",
 	}
 	return t

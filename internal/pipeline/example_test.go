@@ -19,16 +19,6 @@ func ExampleSystemSpeedup() {
 	// Output: 3.34x
 }
 
-func ExamplePipeline_RunPipelined() {
-	p := &pipeline.Pipeline{Stages: []pipeline.Stage{
-		{Name: "double", Proc: func(v any) any { return v.(int) * 2 }},
-		{Name: "inc", Proc: func(v any) any { return v.(int) + 1 }},
-	}}
-	out := p.RunPipelined([]any{1, 2, 3}, 1)
-	fmt.Println(out[0], out[1], out[2])
-	// Output: 3 5 7
-}
-
 // The streaming executor scales the bottleneck stage out across workers
 // and micro-batches a stage, while results still come back in input order.
 func ExampleExecutor_Run() {

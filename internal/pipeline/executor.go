@@ -1,14 +1,12 @@
 package pipeline
 
-// This file implements the live streaming executor of §6.3/Figure 10. The
-// original sketch (one goroutine per stage, no cancellation, no error path)
-// survives as the Pipeline compatibility wrappers at the bottom; the
-// Executor is the production form: context cancellation with graceful
-// drain, error-as-value stage results with panics recovered, fail-fast
-// propagation that provably leaks no goroutine, per-stage worker counts
-// with sequence-numbered order restoration, dynamic micro-batching (the
-// paper's batched-inference stage), and per-stage occupancy counters that
-// can be compared against the analytic PipelinedMakespan model.
+// This file implements the live streaming executor of §6.3/Figure 10:
+// context cancellation with graceful drain, error-as-value stage results
+// with panics recovered, fail-fast propagation that provably leaks no
+// goroutine, per-stage worker counts with sequence-numbered order
+// restoration, dynamic micro-batching (the paper's batched-inference
+// stage), and per-stage occupancy counters that can be compared against
+// the analytic PipelinedMakespan model.
 
 import (
 	"context"
@@ -440,8 +438,8 @@ func recoverToError(errp *error) {
 }
 
 // SleepSpec returns a per-item stage that blocks for d per item across
-// `workers` goroutines — the executor-native form of SleepStage, used by
-// the analytic-model agreement tests and benchmarks.
+// `workers` goroutines — a stand-in for I/O-bound work (input fetch, DMA)
+// used by the analytic-model agreement tests and benchmarks.
 func SleepSpec(name string, d time.Duration, workers int) StageSpec {
 	return StageSpec{Name: name, Workers: workers, Proc: func(ctx context.Context, v any) (any, error) {
 		t := time.NewTimer(d)
@@ -452,111 +450,5 @@ func SleepSpec(name string, d time.Duration, workers int) StageSpec {
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
-	}}
-}
-
-// ---------------------------------------------------------------------------
-// Legacy compatibility layer (the original §6.3 sketch API).
-
-// Stage is the legacy per-item processing step: no context, no error
-// return. Prefer StageSpec for new code.
-type Stage struct {
-	Name string
-	// Proc transforms one work item.
-	Proc func(item any) any
-}
-
-// Spec adapts the legacy stage to the executor form.
-func (s Stage) Spec() StageSpec {
-	proc := s.Proc
-	return StageSpec{Name: s.Name, Proc: func(_ context.Context, v any) (any, error) {
-		return proc(v), nil
-	}}
-}
-
-// Pipeline executes a fixed sequence of legacy stages over a slice of
-// items, either serially (the baseline of §6.3) or on the streaming
-// Executor (the multithreaded design of Figure 10).
-type Pipeline struct {
-	Stages []Stage
-}
-
-// Executor returns the streaming executor equivalent of the pipeline with
-// inter-stage buffering buf.
-func (p *Pipeline) Executor(buf int) (*Executor, error) {
-	specs := make([]StageSpec, len(p.Stages))
-	for i, s := range p.Stages {
-		specs[i] = s.Spec()
-	}
-	return NewExecutor(buf, specs...)
-}
-
-// RunSerial processes the items one at a time through every stage.
-func (p *Pipeline) RunSerial(items []any) []any {
-	out := make([]any, len(items))
-	for i, it := range items {
-		cur := it
-		for _, s := range p.Stages {
-			cur = s.Proc(cur)
-		}
-		out[i] = cur
-	}
-	return out
-}
-
-// RunPipelined processes the items on the streaming executor with
-// inter-stage buffering `buf`, preserving order. Legacy stages cannot
-// return errors, so the only executor failure a non-empty run can hit is a
-// panicking Proc — which is re-panicked, matching the serial path (the
-// original sketch instead deadlocked every upstream goroutine).
-func (p *Pipeline) RunPipelined(items []any, buf int) []any {
-	if len(p.Stages) == 0 {
-		out := make([]any, len(items))
-		copy(out, items)
-		return out
-	}
-	ex, err := p.Executor(buf)
-	if err != nil {
-		panic(err)
-	}
-	//skynet:nolint ctxflow -- legacy §6.3 API predates contexts and takes none; callers wanting cancellation use Executor.Run directly
-	out, err := ex.Run(context.Background(), items)
-	if err != nil {
-		panic(err)
-	}
-	return out
-}
-
-// TimedRun measures wall-clock makespans of serial vs pipelined execution
-// over the items and returns the pipelined results along with both
-// durations. Both modes are warmed up on a small prefix first so neither
-// measurement pays the one-time costs (scheduler ramp-up, lazily
-// initialized state in the stage closures) — the original version timed
-// serial first and cold, flattering the pipelined number, and discarded
-// both result slices.
-func (p *Pipeline) TimedRun(items []any, buf int) (out []any, serial, pipelined time.Duration) {
-	warm := items
-	if len(warm) > 4 {
-		warm = warm[:4]
-	}
-	p.RunSerial(warm)
-	p.RunPipelined(warm, buf)
-
-	t0 := time.Now()
-	p.RunSerial(items)
-	serial = time.Since(t0)
-	t1 := time.Now()
-	out = p.RunPipelined(items, buf)
-	pipelined = time.Since(t1)
-	return out, serial, pipelined
-}
-
-// SleepStage returns a legacy stage that blocks for d per item — a
-// stand-in for I/O-bound work (input fetch, DMA) used in simulations and
-// tests.
-func SleepStage(name string, d time.Duration) Stage {
-	return Stage{Name: name, Proc: func(item any) any {
-		time.Sleep(d)
-		return item
 	}}
 }

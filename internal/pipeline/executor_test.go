@@ -306,24 +306,8 @@ func TestExecutorStream(t *testing.T) {
 	}
 }
 
-// The legacy wrapper still overlaps stages and preserves results, and a
-// panicking legacy Proc propagates as a panic instead of deadlocking.
-func TestRunPipelinedPanicPropagates(t *testing.T) {
-	defer leakCheck(t)()
-	p := &Pipeline{Stages: []Stage{
-		{Name: "ok", Proc: func(v any) any { return v }},
-		{Name: "bad", Proc: func(v any) any { panic("legacy boom") }},
-	}}
-	defer func() {
-		if rec := recover(); rec == nil {
-			t.Fatal("expected RunPipelined to re-panic on a panicking stage")
-		}
-	}()
-	p.RunPipelined(intItems(4), 1)
-}
-
 // The measured makespan of a multi-worker, micro-batched run on a
-// SleepStage workload must agree with the analytic PipelinedMakespan
+// SleepSpec workload must agree with the analytic PipelinedMakespan
 // prediction over the effective (worker-scaled) profile. The test uses a
 // generous margin to stay robust on loaded CI machines; the companion
 // benchmark BenchmarkExecutorAnalyticGap reports the precise ratio
@@ -381,7 +365,7 @@ func TestExecutorAgreesWithAnalyticModel(t *testing.T) {
 }
 
 // BenchmarkExecutorAnalyticGap reports the measured/predicted makespan
-// ratio of the multi-worker + micro-batched executor on a SleepStage
+// ratio of the multi-worker + micro-batched executor on a SleepSpec
 // workload: "×analytic" compares against the prediction from the measured
 // per-stage busy times (~1.0x when the executor matches the §6.3 model),
 // "×nominal" against the idealized sleep durations (includes the host's

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"strings"
@@ -79,31 +80,66 @@ func TestFPGAProfileReproducesPaper(t *testing.T) {
 	}
 }
 
-func TestRunSerialOrderAndResults(t *testing.T) {
-	p := &Pipeline{Stages: []Stage{
-		{Name: "double", Proc: func(v any) any { return v.(int) * 2 }},
-		{Name: "inc", Proc: func(v any) any { return v.(int) + 1 }},
-	}}
-	out := p.RunSerial([]any{1, 2, 3})
+// runSerial is the serial baseline of §6.3: each item runs through every
+// stage before the next item starts.
+func runSerial(t *testing.T, items []any, specs ...StageSpec) []any {
+	t.Helper()
+	out := make([]any, len(items))
+	for i, it := range items {
+		cur := it
+		for _, s := range specs {
+			var err error
+			if cur, err = s.Proc(context.Background(), cur); err != nil {
+				t.Fatal(err)
+			}
+		}
+		out[i] = cur
+	}
+	return out
+}
+
+// runExecutor runs items through specs on the streaming executor.
+func runExecutor(t *testing.T, buf int, items []any, specs ...StageSpec) []any {
+	t.Helper()
+	ex, err := NewExecutor(buf, specs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := ex.Run(context.Background(), items)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+func intProc(f func(int) int) Proc {
+	return func(_ context.Context, v any) (any, error) { return f(v.(int)), nil }
+}
+
+func TestExecutorRunOrderAndResults(t *testing.T) {
+	out := runExecutor(t, 1, []any{1, 2, 3},
+		StageSpec{Name: "double", Proc: intProc(func(x int) int { return x * 2 })},
+		StageSpec{Name: "inc", Proc: intProc(func(x int) int { return x + 1 })},
+	)
 	want := []int{3, 5, 7}
 	for i, v := range want {
 		if out[i].(int) != v {
-			t.Fatalf("serial results %v, want %v", out, want)
+			t.Fatalf("executor results %v, want %v", out, want)
 		}
 	}
 }
 
-func TestRunPipelinedMatchesSerial(t *testing.T) {
-	p := &Pipeline{Stages: []Stage{
-		{Name: "square", Proc: func(v any) any { x := v.(int); return x * x }},
-		{Name: "neg", Proc: func(v any) any { return -v.(int) }},
-	}}
+func TestExecutorRunMatchesSerial(t *testing.T) {
+	specs := []StageSpec{
+		{Name: "square", Proc: intProc(func(x int) int { return x * x })},
+		{Name: "neg", Proc: intProc(func(x int) int { return -x })},
+	}
 	items := make([]any, 20)
 	for i := range items {
 		items[i] = i
 	}
-	ser := p.RunSerial(items)
-	pip := p.RunPipelined(items, 2)
+	ser := runSerial(t, items, specs...)
+	pip := runExecutor(t, 2, items, specs...)
 	if len(pip) != len(ser) {
 		t.Fatalf("pipelined returned %d items, want %d", len(pip), len(ser))
 	}
@@ -119,32 +155,32 @@ func TestRunPipelinedMatchesSerial(t *testing.T) {
 // serial by a clear margin even on one CPU.
 func TestPipelinedWallClockFaster(t *testing.T) {
 	d := 3 * time.Millisecond
-	p := &Pipeline{Stages: []Stage{
-		SleepStage(StagePre, d),
-		SleepStage(StageInfer, d),
-		SleepStage(StagePost, d),
-	}}
+	specs := []StageSpec{
+		SleepSpec(StagePre, d, 1),
+		SleepSpec(StageInfer, d, 1),
+		SleepSpec(StagePost, d, 1),
+	}
 	items := make([]any, 12)
 	for i := range items {
 		items[i] = i
 	}
-	out, serial, pipelined := p.TimedRun(items, 1)
+	// Warm both modes on a prefix so neither measurement pays one-time
+	// costs (scheduler ramp-up, lazily initialized state).
+	runSerial(t, items[:4], specs...)
+	runExecutor(t, 1, items[:4], specs...)
+
+	t0 := time.Now()
+	runSerial(t, items, specs...)
+	serial := time.Since(t0)
+	t1 := time.Now()
+	runExecutor(t, 1, items, specs...)
+	pipelined := time.Since(t1)
 	if pipelined >= serial {
 		t.Fatalf("pipelined %v not faster than serial %v", pipelined, serial)
 	}
 	ratio := float64(serial) / float64(pipelined)
 	if ratio < 1.8 {
 		t.Fatalf("wall-clock speedup %.2f too low for 3 equal stages", ratio)
-	}
-	// TimedRun must hand back the pipelined results, not discard them.
-	ser := p.RunSerial(items)
-	if len(out) != len(ser) {
-		t.Fatalf("TimedRun returned %d results, want %d", len(out), len(ser))
-	}
-	for i := range ser {
-		if out[i] != ser[i] {
-			t.Fatalf("TimedRun result %d = %v, serial says %v", i, out[i], ser[i])
-		}
 	}
 }
 

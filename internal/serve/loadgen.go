@@ -1,12 +1,11 @@
 package serve
 
-// LoadGen is the serving layer's traffic driver: N concurrent clients
-// fire detection requests over HTTP against a running server, cycling
-// through a fixed image set, and record per-request outcomes (status,
-// body, latency). The integration tests use it to pin the acceptance
-// criteria — zero errors under concurrency, responses byte-identical to
-// serial inference, mean batch size above one — and cmd/skynet-serve
-// exposes it as a self-test mode.
+// Load-driver building blocks: the per-request outcome record, the
+// per-class latency tallies, the tracking-session driver, and the single
+// detection request every Scenario client sends. Scenario (scenario.go) is
+// the one detection load driver; the integration tests use it to pin the
+// acceptance criteria — zero errors under concurrency, responses
+// byte-identical to serial inference, mean batch size above one.
 
 import (
 	"bytes"
@@ -24,57 +23,14 @@ import (
 	"skynet/internal/tensor"
 )
 
-// LoadGen configures one load run against a serving endpoint.
-type LoadGen struct {
-	// URL is the server base URL, e.g. "http://127.0.0.1:8080".
-	URL string
-	// Clients is the number of concurrent clients; 0 selects 8.
-	Clients int
-	// Requests is the number of requests per client; 0 selects 4.
-	Requests int
-	// Images is the request payload pool; client c's r-th request sends
-	// Images[(c*Requests+r) % len(Images)]. Required.
-	Images []*tensor.Tensor
-	// Client is the HTTP client; nil selects http.DefaultClient.
-	Client *http.Client
-}
-
 // LoadResult records one request's outcome.
 type LoadResult struct {
 	Client  int
-	Image   int // index into Images
+	Image   int // index into Scenario.Images
 	Status  int
 	Body    []byte
 	Latency time.Duration
 	Err     error // transport-level failure; nil for any HTTP response
-}
-
-// LoadReport aggregates a run.
-type LoadReport struct {
-	Results []LoadResult
-	Elapsed time.Duration
-}
-
-// Count returns the number of responses with the given status.
-func (r LoadReport) Count(status int) int {
-	n := 0
-	for _, res := range r.Results {
-		if res.Err == nil && res.Status == status {
-			n++
-		}
-	}
-	return n
-}
-
-// Errors returns every non-200 outcome (transport errors included).
-func (r LoadReport) Errors() []LoadResult {
-	var out []LoadResult
-	for _, res := range r.Results {
-		if res.Err != nil || res.Status != http.StatusOK {
-			out = append(out, res)
-		}
-	}
-	return out
 }
 
 // LatencyTally is exact (sorted, not bucketed) latency percentiles over one
@@ -147,11 +103,11 @@ type LoadSummary struct {
 	DeadlineLatency LatencyTally `json:"deadline_latency"`
 }
 
-// Summary tallies the report per outcome class.
-func (r LoadReport) Summary() LoadSummary {
+// summarize tallies a run's results per outcome class.
+func summarize(results []LoadResult) LoadSummary {
 	var s LoadSummary
 	var ok, shed, dead []time.Duration
-	for _, res := range r.Results {
+	for _, res := range results {
 		s.Offered++
 		switch {
 		case res.Err != nil:
@@ -177,57 +133,6 @@ func (r LoadReport) Summary() LoadSummary {
 	s.ShedLatency = tallyLatencies(shed)
 	s.DeadlineLatency = tallyLatencies(dead)
 	return s
-}
-
-// Run fires the configured load and blocks until every request resolved
-// or ctx fires (pending requests are abandoned to their HTTP timeouts).
-func (l *LoadGen) Run(ctx context.Context) (LoadReport, error) {
-	if len(l.Images) == 0 {
-		return LoadReport{}, fmt.Errorf("serve: loadgen needs at least one image")
-	}
-	clients := l.Clients
-	if clients <= 0 {
-		clients = 8
-	}
-	perClient := l.Requests
-	if perClient <= 0 {
-		perClient = 4
-	}
-	hc := l.Client
-	if hc == nil {
-		hc = http.DefaultClient
-	}
-
-	// Pre-encode each distinct image once; clients share the read-only
-	// bytes through bytes.NewReader.
-	bodies := make([][]byte, len(l.Images))
-	for i, img := range l.Images {
-		var buf bytes.Buffer
-		if err := detect.EncodeRequest(&buf, img); err != nil {
-			return LoadReport{}, err
-		}
-		bodies[i] = buf.Bytes()
-	}
-
-	results := make([]LoadResult, clients*perClient)
-	var wg sync.WaitGroup
-	t0 := time.Now()
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			for r := 0; r < perClient; r++ {
-				idx := c*perClient + r
-				imgIdx := idx % len(bodies)
-				results[idx] = l.one(ctx, hc, c, imgIdx, bodies[imgIdx])
-				if ctx.Err() != nil {
-					return
-				}
-			}
-		}(c)
-	}
-	wg.Wait()
-	return LoadReport{Results: results, Elapsed: time.Since(t0)}, ctx.Err()
 }
 
 // TrackLoadGen drives the tracking routes: each client owns one session —
@@ -403,10 +308,12 @@ func (l *TrackLoadGen) oneSession(ctx context.Context, hc *http.Client, frames [
 	return res
 }
 
-func (l *LoadGen) one(ctx context.Context, hc *http.Client, client, imgIdx int, body []byte) LoadResult {
+// detectOnce posts one pre-encoded detection request to baseURL/detect and
+// records its outcome.
+func detectOnce(ctx context.Context, hc *http.Client, baseURL string, client, imgIdx int, body []byte) LoadResult {
 	res := LoadResult{Client: client, Image: imgIdx}
 	t0 := time.Now()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, l.URL+"/detect", bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, baseURL+"/detect", bytes.NewReader(body))
 	if err != nil {
 		res.Err = err
 		return res

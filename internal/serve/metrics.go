@@ -1,10 +1,10 @@
 package serve
 
 // Observability surface: an allocation-free log-bucketed latency histogram
-// updated with atomics on the request path, and a Metrics snapshot that
-// joins it with the executor's per-stage counters (pipeline.StageStats)
-// and the admission-queue gauges. The /metrics handler serializes the
-// snapshot as JSON.
+// updated with atomics on the request path, a per-replica Metrics snapshot
+// that joins it with the executor's per-stage counters (pipeline.StageStats)
+// and the admission-queue gauges, and the PoolMetrics snapshot that the
+// /metrics handler serializes as JSON.
 
 import (
 	"math"
@@ -127,8 +127,9 @@ type LatencySummary struct {
 	P99MS  float64 `json:"p99_ms"`
 }
 
-// Metrics is one consistent-enough snapshot of the server's counters —
+// Metrics is one consistent-enough snapshot of a replica's counters —
 // individual fields are read atomically; the set is not a transaction.
+// PoolMetrics.ReplicaMetrics carries one per replica.
 type Metrics struct {
 	// QueueDepth is the number of requests waiting for admission into the
 	// pre-process stage; QueueCap is the admission bound.
@@ -153,10 +154,6 @@ type Metrics struct {
 
 	// Stages is the executor's per-stage occupancy breakdown.
 	Stages []pipelineStageJSON `json:"stages"`
-
-	// Track is the attached tracking service's snapshot, when one is
-	// co-hosted on this server (Server.Attach).
-	Track *TrackMetrics `json:"track,omitempty"`
 }
 
 // pipelineStageJSON flattens pipeline.StageStats into JSON-friendly units.
@@ -266,8 +263,8 @@ func (p *Pool) Metrics() PoolMetrics {
 	return m
 }
 
-// Metrics snapshots the server's observability counters.
-func (s *Server) Metrics() Metrics {
+// Metrics snapshots the replica's observability counters.
+func (s *replica) Metrics() Metrics {
 	m := Metrics{
 		QueueDepth: len(s.in),
 		QueueCap:   cap(s.in),
@@ -288,10 +285,6 @@ func (s *Server) Metrics() Metrics {
 			m.Batches = st.Batches
 			m.MeanBatchSize = st.MeanBatchSize()
 		}
-	}
-	if s.track != nil {
-		tm := s.track.Metrics()
-		m.Track = &tm
 	}
 	return m
 }

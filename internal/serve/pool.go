@@ -1,16 +1,16 @@
 package serve
 
-// Replica pool: the fleet-scale form of the serving layer. A single Server
-// pins inference to one worker (Graph forwards share buffers and are not
-// concurrency-safe), so one process can never use more than one core for
-// the forward pass. The Pool holds N replicas — each a full Server around
-// its own private model instance with its own reuse buffers and streaming
-// executor — behind a routing tier that shards requests by frame content
-// hash. Sharding gives duplicate frames a stable home (so the response
-// cache and the per-replica batcher both see the repeats), while bounded
-// per-replica admission propagates backpressure outward: a request whose
-// home replica is full is offered to every sibling before the pool sheds
-// it with 429, so the pool only rejects when the whole fleet is saturated.
+// Replica pool: the serving layer's one front end. A replica pins inference
+// to one worker (Graph forwards share buffers and are not concurrency-safe),
+// so one replica can never use more than one core for the forward pass. The
+// Pool holds N replicas — each its own private model instance with its own
+// reuse buffers, admission queue and streaming executor — behind a routing
+// tier that shards requests by frame content hash. Sharding gives duplicate
+// frames a stable home (so the response cache and the per-replica batcher
+// both see the repeats), while bounded per-replica admission propagates
+// backpressure outward: a request whose home replica is full is offered to
+// every sibling before the pool sheds it with 429, so the pool only rejects
+// when the whole fleet is saturated.
 //
 // Model hot-swap is generation-based: Swap builds a complete new replica
 // set from a ModelFactory, atomically publishes it as the next generation,
@@ -45,8 +45,8 @@ type PoolConfig struct {
 	// Replicas is the number of model instances; 0 selects NumCPU capped
 	// at 8.
 	Replicas int
-	// Replica tunes each replica's Server (queue depth, batching, workers,
-	// deadline). Applied identically to every replica.
+	// Replica tunes each replica's admission queue, batching, stage workers
+	// and request deadline. Applied identically to every replica.
 	Replica Config
 	// CacheEntries bounds the response cache; 0 selects 4096, negative
 	// disables caching.
@@ -94,7 +94,7 @@ func (c *PoolConfig) normalize() {
 // atomically; a Submit works against the snapshot it loaded.
 type generation struct {
 	id       int64
-	replicas []*Server
+	replicas []*replica
 }
 
 // Pool is a replica-pool detection service: N private model instances
@@ -165,12 +165,12 @@ func (p *Pool) release() {
 // buildGeneration constructs one complete replica set, tearing down the
 // partial set on any failure so a bad factory cannot leak pipelines.
 func (p *Pool) buildGeneration(factory ModelFactory, n int) (*generation, error) {
-	g := &generation{id: p.lastID.Add(1), replicas: make([]*Server, 0, n)}
+	g := &generation{id: p.lastID.Add(1), replicas: make([]*replica, 0, n)}
 	for i := 0; i < n; i++ {
 		m, h, err := factory()
 		if err == nil {
-			var s *Server
-			s, err = New(m, h, p.cfg.Replica)
+			var s *replica
+			s, err = newReplica(m, h, p.cfg.Replica)
 			if err == nil {
 				g.replicas = append(g.replicas, s)
 				continue
@@ -324,10 +324,10 @@ func (p *Pool) Swap(ctx context.Context, factory ModelFactory) error {
 }
 
 // drainAll drains every replica concurrently and returns the first error.
-func drainAll(ctx context.Context, replicas []*Server) error {
+func drainAll(ctx context.Context, replicas []*replica) error {
 	errc := make(chan error, len(replicas))
 	for _, r := range replicas {
-		go func(r *Server) { errc <- r.Drain(ctx) }(r)
+		go func(r *replica) { errc <- r.Drain(ctx) }(r)
 	}
 	var first error
 	for range replicas {

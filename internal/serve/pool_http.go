@@ -1,13 +1,18 @@
 package serve
 
-// The pool's HTTP front end: the same surface as a single Server (POST
-// /detect, GET /metrics, GET /healthz, pprof, optional /track routes) plus
-// the fleet-only routes — POST /admin/swap cuts the pool over to a new
-// model generation under live load. Every /detect response carries an
-// X-Skynet-Generation header naming the replica generation that produced
-// it, which is how the swap tests observe the cutover. A saturated fleet is
-// shed before the request body is decoded (Pool.shedFast), so the 429 path
-// costs a queue-length check, not a multi-megabyte JSON parse.
+// The service's HTTP front end: POST /detect takes a detect.Request (JSON
+// image tensor) and answers with a detect.Response; GET /metrics exports
+// the PoolMetrics snapshot; GET /healthz is the load-balancer probe (503
+// while draining); /debug/pprof/* exposes the standard profiles; an
+// attached TrackService adds the /track routes; and POST /admin/swap cuts
+// the pool over to a new model generation under live load. Every /detect
+// response carries an X-Skynet-Generation header naming the replica
+// generation that produced it, which is how the swap tests observe the
+// cutover. Detection failures map to the conventional statuses: 429 with
+// Retry-After: 1 when the fleet is saturated, 503 on drain, 504 on a
+// request deadline, 500 on an inference failure. A saturated fleet is shed
+// before the request body is decoded (Pool.shedFast), so the 429 path costs
+// a queue-length check, not a multi-megabyte JSON parse.
 
 import (
 	"context"
@@ -50,7 +55,7 @@ func (p *Pool) Handler() http.Handler {
 	mux.HandleFunc("POST /detect", p.handleDetect)
 	mux.HandleFunc("POST /admin/swap", p.handleSwap)
 	mux.HandleFunc("GET /metrics", p.handleMetrics)
-	mux.HandleFunc("GET /healthz", p.handleHealthz)
+	mux.HandleFunc("GET /healthz", healthz(p.Draining))
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -137,13 +142,38 @@ func (p *Pool) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	_ = enc.Encode(p.Metrics())
 }
 
-func (p *Pool) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	if p.Draining() {
-		http.Error(w, "draining", http.StatusServiceUnavailable)
-		return
+// healthz is the load-balancer probe shared by every front end: 200 while
+// serving, 503 once draining has begun.
+func healthz(draining func() bool) http.HandlerFunc {
+	return func(w http.ResponseWriter, _ *http.Request) {
+		if draining() {
+			http.Error(w, "draining", http.StatusServiceUnavailable)
+			return
+		}
+		w.WriteHeader(http.StatusOK)
+		_, _ = w.Write([]byte("ok\n"))
 	}
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write([]byte("ok\n"))
+}
+
+// detectStatus maps detection-path errors onto HTTP statuses.
+func detectStatus(err error) int {
+	switch {
+	case errors.Is(err, ErrBadInput):
+		return http.StatusBadRequest
+	case errors.Is(err, ErrOverloaded):
+		return http.StatusTooManyRequests
+	case errors.Is(err, ErrDraining):
+		return http.StatusServiceUnavailable
+	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
+		return http.StatusGatewayTimeout
+	}
+	return http.StatusInternalServerError
+}
+
+func writeError(w http.ResponseWriter, status int, err error) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	_ = detect.EncodeResponse(w, detect.Response{Error: err.Error()})
 }
 
 func writeSwapError(w http.ResponseWriter, status int, err error) {
@@ -155,7 +185,15 @@ func writeSwapError(w http.ResponseWriter, status int, err error) {
 // ListenAndServe runs the pool's front end on addr until ctx is cancelled,
 // then drains gracefully with drainTimeout.
 func (p *Pool) ListenAndServe(ctx context.Context, addr string, drainTimeout time.Duration) error {
-	hs := &http.Server{Addr: addr, Handler: p.Handler()}
+	return listenAndDrain(ctx, addr, p.Handler(), p.Drain, drainTimeout)
+}
+
+// listenAndDrain serves h on addr until ctx is cancelled, then drains
+// gracefully: the listener stops taking connections, drain refuses new work
+// and lets in-flight requests finish, and both get drainTimeout. It returns
+// the first serve or drain error.
+func listenAndDrain(ctx context.Context, addr string, h http.Handler, drain func(context.Context) error, drainTimeout time.Duration) error {
+	hs := &http.Server{Addr: addr, Handler: h}
 	errc := make(chan error, 1)
 	go func() {
 		if err := hs.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
@@ -170,7 +208,7 @@ func (p *Pool) ListenAndServe(ctx context.Context, addr string, drainTimeout tim
 	//skynet:nolint ctxflow -- ctx is already cancelled at this point; the drain budget needs a fresh root or the graceful drain would be skipped entirely
 	dctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()
-	drainErr := p.Drain(dctx)
+	drainErr := drain(dctx)
 	shutErr := hs.Shutdown(dctx)
 	if drainErr != nil {
 		return drainErr

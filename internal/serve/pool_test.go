@@ -251,13 +251,14 @@ func TestPoolNReplicaByteIdenticalTo1Replica(t *testing.T) {
 			Replica: Config{MaxBatch: 4, QueueDepth: 64}})
 		ts := httptest.NewServer(p.Handler())
 		defer ts.Close()
-		lg := &LoadGen{URL: ts.URL, Clients: 6, Requests: 4, Images: imgs}
-		rep, err := lg.Run(context.Background())
+		sc := &Scenario{URL: ts.URL, Images: imgs, Phases: []Phase{{Name: "identity", Clients: 6, Requests: 4}}}
+		rep, err := sc.Run(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if errs := rep.Errors(); len(errs) != 0 {
-			t.Fatalf("%d-replica run had %d errors; first %+v", replicas, len(errs), errs[0])
+		if rep.Detect.Offered != 6*4 || rep.Detect.OK != rep.Detect.Offered {
+			t.Fatalf("%d-replica run: %d of %d requests failed; summary %+v",
+				replicas, rep.Detect.Offered-rep.Detect.OK, rep.Detect.Offered, rep.Detect)
 		}
 		out := make(map[int][]byte)
 		for _, res := range rep.Results {

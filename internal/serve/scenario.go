@@ -33,6 +33,10 @@ type Phase struct {
 	Name     string
 	Duration time.Duration
 	Clients  int
+	// Requests, when positive, ends the phase once each client has sent
+	// that many requests; a positive Duration still caps it, and a zero
+	// Duration then means no time limit.
+	Requests int
 }
 
 // Scenario is one shaped load run against a serving endpoint.
@@ -80,6 +84,9 @@ type ScenarioReport struct {
 	PeakClients int `json:"peak_clients"`
 	// Detect is the classified detection-traffic summary.
 	Detect LoadSummary `json:"detect"`
+	// Results is every recorded detection outcome, for checks that compare
+	// response bodies per image.
+	Results []LoadResult `json:"-"`
 	// TrackSteps counts successful tracking steps; TrackErrors sessions
 	// that hit a transport error or non-200.
 	TrackSteps  int `json:"track_steps,omitempty"`
@@ -202,17 +209,23 @@ func (sc *Scenario) Run(ctx context.Context) (ScenarioReport, error) {
 	}
 
 	// The offered-load curve: per phase, Clients closed-loop clients until
-	// the phase deadline.
+	// the phase deadline or their request budget.
 	var results []LoadResult
 	for _, ph := range sc.Phases {
-		phCtx, phCancel := context.WithTimeout(runCtx, ph.Duration)
+		var phCtx context.Context
+		var phCancel context.CancelFunc
+		if ph.Requests > 0 && ph.Duration <= 0 {
+			phCtx, phCancel = context.WithCancel(runCtx)
+		} else {
+			phCtx, phCancel = context.WithTimeout(runCtx, ph.Duration)
+		}
 		resc := make(chan []LoadResult, ph.Clients)
 		for c := 0; c < ph.Clients; c++ {
 			go func(c int) {
-				resc <- sc.clientLoop(phCtx, hc, bodies, c, backoff)
+				resc <- sc.clientLoop(phCtx, hc, bodies, c, ph.Requests, backoff)
 			}(c)
 		}
-		if ph.Clients == 0 {
+		if ph.Clients == 0 && ph.Requests <= 0 {
 			// A quiet phase (burst troughs) still has to pass wall time.
 			<-phCtx.Done()
 		}
@@ -228,7 +241,8 @@ func (sc *Scenario) Run(ctx context.Context) (ScenarioReport, error) {
 	bg.Wait()
 
 	rep.Elapsed = time.Since(t0)
-	rep.Detect = LoadReport{Results: results}.Summary()
+	rep.Detect = summarize(results)
+	rep.Results = results
 	rep.TrackSteps = int(trackSteps.Load())
 	rep.TrackErrors = int(trackErrs.Load())
 	rep.LorisHeld = int(lorisHeld.Load())
@@ -239,15 +253,15 @@ func (sc *Scenario) Run(ctx context.Context) (ScenarioReport, error) {
 }
 
 // clientLoop is one closed-loop client: request, classify, back off on
-// shed, repeat until the phase ends. In-flight requests at the deadline are
+// shed, repeat until the phase ends or, when requests is positive, that
+// many requests have been sent. In-flight requests at the deadline are
 // abandoned to the HTTP layer and not recorded (a half-measured latency
 // would pollute exactly the tail the harness exists to measure).
-func (sc *Scenario) clientLoop(ctx context.Context, hc *http.Client, bodies [][]byte, client int, backoff time.Duration) []LoadResult {
+func (sc *Scenario) clientLoop(ctx context.Context, hc *http.Client, bodies [][]byte, client, requests int, backoff time.Duration) []LoadResult {
 	var out []LoadResult
-	lg := &LoadGen{URL: sc.URL}
-	for i := 0; ctx.Err() == nil; i++ {
+	for i := 0; ctx.Err() == nil && (requests <= 0 || i < requests); i++ {
 		imgIdx := (client*31 + i) % len(bodies)
-		res := lg.one(ctx, hc, client, imgIdx, bodies[imgIdx])
+		res := detectOnce(ctx, hc, sc.URL, client, imgIdx, bodies[imgIdx])
 		if ctx.Err() != nil && res.Err != nil {
 			break // cut off by the phase deadline, not a real outcome
 		}

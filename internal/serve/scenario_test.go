@@ -43,7 +43,7 @@ func TestLoadSummaryClassIsolation(t *testing.T) {
 		LoadResult{Status: http.StatusTeapot, Latency: time.Millisecond},
 		LoadResult{Err: errors.New("connection refused")},
 	)
-	s := LoadReport{Results: results}.Summary()
+	s := summarize(results)
 
 	if s.Offered != len(results) {
 		t.Fatalf("offered %d, want %d", s.Offered, len(results))

@@ -1,13 +1,14 @@
 // Package serve exposes a trained detector as a concurrent service: the
-// production form of the §6.3 system-level optimization. Requests are
-// admitted through a bounded queue (overflow sheds load instead of growing
-// latency without bound), flow through the PR-2 streaming executor — the
-// same merged three stages as the offline pipeline, with the inference
-// stage dynamically micro-batched so one weight load serves many users —
-// and return to their callers individually. Per-request failures (bad
-// input, deadline, a panicking model) are carried inside the request and
-// never fail the shared stream, so one poisoned request cannot take the
-// service down.
+// production form of the §6.3 system-level optimization. Pool is the one
+// front end: it routes each request to one of N replicas, and every replica
+// admits it through a bounded queue (overflow sheds load instead of growing
+// latency without bound) into the streaming pipeline executor — the same
+// merged three stages as the offline pipeline, with the inference stage
+// dynamically micro-batched so one weight load serves many users — and
+// returns it to its caller individually. Per-request failures (bad input,
+// deadline, a panicking model) are carried inside the request and never
+// fail the shared stream, so one poisoned request cannot take the service
+// down.
 package serve
 
 import (
@@ -39,8 +40,8 @@ var (
 	ErrBadInput = errors.New("serve: bad input")
 )
 
-// Config tunes a Server. The zero value selects serving-appropriate
-// defaults.
+// Config tunes one replica of a Pool (see PoolConfig.Replica). The zero
+// value selects serving-appropriate defaults.
 type Config struct {
 	// MaxBatch caps the inference micro-batch; 0 selects 8.
 	MaxBatch int
@@ -109,10 +110,11 @@ func (r *request) deliver() {
 	r.done <- res
 }
 
-// Server is a concurrent detection service around one model+head pair. It
-// is safe for concurrent use. Create with New, stop with Drain (graceful)
-// or Close (abandon).
-type Server struct {
+// replica is one model+head pair behind its own admission queue and
+// streaming executor: the unit a Pool routes to. It is safe for concurrent
+// use. Create with newReplica, stop with Drain (graceful) or Close
+// (abandon).
+type replica struct {
 	cfg  Config
 	ex   *pipeline.Executor
 	hist *Histogram
@@ -129,25 +131,17 @@ type Server struct {
 	failed   atomic.Int64
 	rejected atomic.Int64
 	expired  atomic.Int64
-
-	// track, when attached, co-hosts a TrackService on this server's HTTP
-	// front end and folds its counters into /metrics.
-	track *TrackService
 }
 
-// Attach co-hosts a tracking service: Handler mounts its /track routes and
-// Metrics reports its counters under "track". Call before Handler.
-func (s *Server) Attach(ts *TrackService) { s.track = ts }
-
-// New starts the serving pipeline for a model+head pair. The model is
-// driven from a single inference worker (Graph forwards share buffers and
-// are not concurrency-safe); throughput scales with Config.MaxBatch.
-func New(m detect.Model, h *detect.Head, cfg Config) (*Server, error) {
+// newReplica starts the serving pipeline for a model+head pair. The model
+// is driven from a single inference worker (Graph forwards share buffers
+// and are not concurrency-safe); throughput scales with Config.MaxBatch.
+func newReplica(m detect.Model, h *detect.Head, cfg Config) (*replica, error) {
 	if m == nil || h == nil {
 		return nil, errors.New("serve: model and head are required")
 	}
 	cfg.normalize()
-	s := &Server{
+	s := &replica{
 		cfg:      cfg,
 		hist:     NewHistogram(),
 		in:       make(chan any, cfg.QueueDepth),
@@ -219,7 +213,7 @@ func New(m detect.Model, h *detect.Head, cfg Config) (*Server, error) {
 	}
 	s.ex = ex
 
-	//skynet:nolint ctxflow -- the pipeline stream lives for the server's lifetime, not any request's; Close/Drain cancel it, so a fresh root is correct here
+	//skynet:nolint ctxflow -- the pipeline stream lives for the replica's lifetime, not any request's; Close/Drain cancel it, so a fresh root is correct here
 	ctx, cancel := context.WithCancel(context.Background())
 	s.cancel = cancel
 	out, wait := ex.Stream(ctx, s.in)
@@ -270,7 +264,7 @@ func inferBatchSafe(m detect.Model, frames []*detect.Frame) (err error) {
 // micro-batched inference, decode. It blocks until the result is ready,
 // the context fires, or the request is rejected at admission. When ctx has
 // no deadline, Config.RequestTimeout is applied.
-func (s *Server) Submit(ctx context.Context, img *tensor.Tensor) (detect.Box, float64, error) {
+func (s *replica) Submit(ctx context.Context, img *tensor.Tensor) (detect.Box, float64, error) {
 	if _, ok := ctx.Deadline(); !ok && s.cfg.RequestTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
@@ -319,11 +313,11 @@ func (s *Server) Submit(ctx context.Context, img *tensor.Tensor) (detect.Box, fl
 	}
 }
 
-// Drain gracefully shuts the server down: new submissions are refused with
+// Drain gracefully shuts the replica down: new submissions are refused with
 // ErrDraining, queued and in-flight requests complete, and the pipeline
 // exits. It returns when the drain finishes or ctx fires (the drain keeps
 // completing in the background either way). Drain is idempotent.
-func (s *Server) Drain(ctx context.Context) error {
+func (s *replica) Drain(ctx context.Context) error {
 	s.mu.Lock()
 	if !s.draining {
 		s.draining = true
@@ -340,7 +334,7 @@ func (s *Server) Drain(ctx context.Context) error {
 
 // Close abandons the pipeline immediately: in-flight requests fail with
 // the stream's cancellation. Prefer Drain; Close is the hard stop.
-func (s *Server) Close() {
+func (s *replica) Close() {
 	s.mu.Lock()
 	if !s.draining {
 		s.draining = true
@@ -351,8 +345,8 @@ func (s *Server) Close() {
 	<-s.finished
 }
 
-// Draining reports whether the server has begun shutting down.
-func (s *Server) Draining() bool {
+// Draining reports whether the replica has begun shutting down.
+func (s *replica) Draining() bool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.draining

@@ -27,7 +27,8 @@ func TestServeQuantizedModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	head := detect.NewHead(nil)
-	s, err := New(qm, head, Config{MaxBatch: 4})
+	s, err := NewPool(func() (detect.Model, *detect.Head, error) { return qm, head, nil },
+		PoolConfig{Replicas: 1, CacheEntries: -1, Replica: Config{MaxBatch: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}

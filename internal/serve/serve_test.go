@@ -3,7 +3,9 @@ package serve
 // Failure-mode tests for the serving layer, written to run under -race:
 // admission overflow sheds with 429, cancelled requests leak no
 // goroutines, drain completes in-flight work, and a panicking model
-// converts to per-request 500s without killing the shared stream.
+// converts to per-request 500s without killing the shared stream. They run
+// on a one-replica pool with the response cache off, so a repeated frame
+// still reaches the model and the Served counts stay exact.
 
 import (
 	"bytes"
@@ -68,18 +70,16 @@ func testImage(seed float32) *tensor.Tensor {
 	return img
 }
 
-func newTestServer(t *testing.T, m detect.Model, cfg Config) *Server {
+// newOneReplicaPool serves m from a one-replica, cache-less pool.
+func newOneReplicaPool(t *testing.T, m detect.Model, cfg Config) *Pool {
 	t.Helper()
-	s, err := New(m, detect.NewHead(nil), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(s.Close)
-	return s
+	return newTestPool(t, func() (detect.Model, *detect.Head, error) {
+		return m, detect.NewHead(nil), nil
+	}, PoolConfig{Replicas: 1, CacheEntries: -1, Replica: cfg})
 }
 
 func TestSubmitServes(t *testing.T) {
-	s := newTestServer(t, &stubModel{}, Config{})
+	s := newOneReplicaPool(t, &stubModel{}, Config{})
 	box, conf, err := s.Submit(context.Background(), testImage(0.3))
 	if err != nil {
 		t.Fatal(err)
@@ -97,7 +97,7 @@ func TestSubmitServes(t *testing.T) {
 }
 
 func TestSubmitValidatesInput(t *testing.T) {
-	s := newTestServer(t, &stubModel{}, Config{})
+	s := newOneReplicaPool(t, &stubModel{}, Config{})
 	// A rank-2 tensor must fail pre-processing, not kill the stream.
 	if _, _, err := s.Submit(context.Background(), tensor.New(4, 4)); err == nil {
 		t.Fatal("rank-2 image must be rejected")
@@ -113,7 +113,7 @@ func TestSubmitValidatesInput(t *testing.T) {
 
 func TestOverflowSheds429(t *testing.T) {
 	m := &stubModel{gate: make(chan struct{})}
-	s := newTestServer(t, m, Config{QueueDepth: 1, MaxBatch: 1, PreWorkers: 1, PostWorkers: 1})
+	s := newOneReplicaPool(t, m, Config{QueueDepth: 1, MaxBatch: 1, PreWorkers: 1, PostWorkers: 1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -187,7 +187,7 @@ func TestOverflowSheds429(t *testing.T) {
 
 func TestCancelledRequestDoesNotLeakGoroutines(t *testing.T) {
 	m := &stubModel{gate: make(chan struct{})}
-	s := newTestServer(t, m, Config{QueueDepth: 16, MaxBatch: 4})
+	s := newOneReplicaPool(t, m, Config{QueueDepth: 16, MaxBatch: 4})
 
 	// Warm the pipeline once so lazily started goroutines exist before the
 	// baseline count is taken.
@@ -231,7 +231,7 @@ func TestCancelledRequestDoesNotLeakGoroutines(t *testing.T) {
 
 func TestDrainCompletesInFlight(t *testing.T) {
 	m := &stubModel{gate: make(chan struct{})}
-	s := newTestServer(t, m, Config{QueueDepth: 8, MaxBatch: 4, RequestTimeout: -1})
+	s := newOneReplicaPool(t, m, Config{QueueDepth: 8, MaxBatch: 4, RequestTimeout: -1})
 
 	const n = 3
 	var wg sync.WaitGroup
@@ -246,7 +246,7 @@ func TestDrainCompletesInFlight(t *testing.T) {
 	// Wait until the in-flight requests are actually inside the pipeline.
 	deadline := time.After(5 * time.Second)
 	for {
-		if st := s.Metrics(); st.QueueDepth > 0 || st.Stages[0].Items > 0 {
+		if st := s.Metrics().ReplicaMetrics[0]; st.QueueDepth > 0 || st.Stages[0].Items > 0 {
 			break
 		}
 		select {
@@ -285,7 +285,7 @@ func TestDrainCompletesInFlight(t *testing.T) {
 func TestPanicBecomes500AndServerSurvives(t *testing.T) {
 	m := &stubModel{}
 	m.panics.Store(true)
-	s := newTestServer(t, m, Config{MaxBatch: 1})
+	s := newOneReplicaPool(t, m, Config{MaxBatch: 1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -328,7 +328,7 @@ func TestPanicBecomes500AndServerSurvives(t *testing.T) {
 }
 
 func TestHTTPBadRequest(t *testing.T) {
-	s := newTestServer(t, &stubModel{}, Config{})
+	s := newOneReplicaPool(t, &stubModel{}, Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -349,7 +349,7 @@ func TestHTTPBadRequest(t *testing.T) {
 }
 
 func TestMetricsEndpointAndDrainHealth(t *testing.T) {
-	s := newTestServer(t, &stubModel{}, Config{QueueDepth: 7})
+	s := newOneReplicaPool(t, &stubModel{}, Config{QueueDepth: 7})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -361,11 +361,14 @@ func TestMetricsEndpointAndDrainHealth(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var m Metrics
-	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
+	var pm PoolMetrics
+	if err := json.NewDecoder(resp.Body).Decode(&pm); err != nil {
 		t.Fatalf("metrics did not parse: %v", err)
 	}
-	if m.QueueCap != 7 || m.Served != 1 || len(m.Stages) != 3 {
+	if len(pm.ReplicaMetrics) != 1 {
+		t.Fatalf("metrics %+v: want one replica", pm)
+	}
+	if m := pm.ReplicaMetrics[0]; m.QueueCap != 7 || m.Served != 1 || len(m.Stages) != 3 {
 		t.Fatalf("metrics %+v", m)
 	}
 
@@ -386,7 +389,7 @@ func TestMetricsEndpointAndDrainHealth(t *testing.T) {
 
 func TestBatchingAggregatesConcurrentRequests(t *testing.T) {
 	m := &stubModel{}
-	s := newTestServer(t, m, Config{MaxBatch: 8, MaxDelay: 20 * time.Millisecond, QueueDepth: 64})
+	s := newOneReplicaPool(t, m, Config{MaxBatch: 8, MaxDelay: 20 * time.Millisecond, QueueDepth: 64})
 
 	const n = 16
 	var wg sync.WaitGroup
@@ -400,7 +403,7 @@ func TestBatchingAggregatesConcurrentRequests(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	if mb := s.Metrics().MeanBatchSize; mb <= 1 {
+	if mb := s.Metrics().ReplicaMetrics[0].MeanBatchSize; mb <= 1 {
 		t.Fatalf("mean batch size %.2f, want > 1 under concurrent load", mb)
 	}
 }
@@ -435,10 +438,13 @@ func TestHistogramQuantiles(t *testing.T) {
 }
 
 func TestServerRequiresModelAndHead(t *testing.T) {
-	if _, err := New(nil, detect.NewHead(nil), Config{}); err == nil {
+	factory := func(m detect.Model, h *detect.Head) ModelFactory {
+		return func() (detect.Model, *detect.Head, error) { return m, h, nil }
+	}
+	if _, err := NewPool(factory(nil, detect.NewHead(nil)), PoolConfig{Replicas: 1}); err == nil {
 		t.Fatal("nil model must be rejected")
 	}
-	if _, err := New(&stubModel{}, nil, Config{}); err == nil {
+	if _, err := NewPool(factory(&stubModel{}, nil), PoolConfig{Replicas: 1}); err == nil {
 		t.Fatal("nil head must be rejected")
 	}
 }

@@ -50,7 +50,7 @@ var (
 )
 
 // Stage names of the tracking pipeline. The inference stage deliberately
-// does NOT reuse pipeline.StageInfer: Server.Metrics selects the headline
+// does NOT reuse pipeline.StageInfer: a replica's Metrics selects the headline
 // batching metrics by that name, and the tracking pipeline's batching
 // stage must not shadow the detection one.
 const (
@@ -182,7 +182,7 @@ func (r *trackReq) live() bool {
 
 // TrackService exposes one Siamese tracker as a stateful concurrent
 // service. Create with NewTrackService, stop with Drain or Close. It can
-// run standalone (Handler) or attached to a detection Server (Attach).
+// run standalone (Handler) or attached to a detection Pool (Pool.Attach).
 type TrackService struct {
 	cfg TrackConfig
 	tr  *track.Tracker
@@ -634,8 +634,8 @@ type TrackStopRequest struct {
 
 // --- HTTP front end ---
 
-// register mounts the tracking routes on a mux (shared with a detection
-// Server or standalone).
+// register mounts the tracking routes on a mux (the pool's front end, or
+// the standalone Handler).
 func (s *TrackService) register(mux *http.ServeMux) {
 	mux.HandleFunc("POST /track/start", s.handleStart)
 	mux.HandleFunc("POST /track/step", s.handleStep)
@@ -643,7 +643,8 @@ func (s *TrackService) register(mux *http.ServeMux) {
 }
 
 // Handler returns a standalone HTTP interface for a tracking-only
-// deployment: the /track routes plus /metrics and /healthz.
+// deployment, which has no detection model to build a Pool from: the
+// /track routes plus /metrics and /healthz.
 func (s *TrackService) Handler() http.Handler {
 	mux := http.NewServeMux()
 	s.register(mux)
@@ -653,14 +654,7 @@ func (s *TrackService) Handler() http.Handler {
 		enc.SetIndent("", "  ")
 		_ = enc.Encode(s.Metrics())
 	})
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
-		if s.Draining() {
-			http.Error(w, "draining", http.StatusServiceUnavailable)
-			return
-		}
-		w.WriteHeader(http.StatusOK)
-		_, _ = w.Write([]byte("ok\n"))
-	})
+	mux.HandleFunc("GET /healthz", healthz(s.Draining))
 	return mux
 }
 
@@ -668,27 +662,7 @@ func (s *TrackService) Handler() http.Handler {
 // is cancelled, then drains: new work is refused, in-flight frames get
 // drainTimeout to finish.
 func (s *TrackService) ListenAndServe(ctx context.Context, addr string, drainTimeout time.Duration) error {
-	hs := &http.Server{Addr: addr, Handler: s.Handler()}
-	errc := make(chan error, 1)
-	go func() {
-		if err := hs.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-			errc <- err
-		}
-	}()
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-	}
-	//skynet:nolint ctxflow -- ctx is already cancelled at this point; the drain budget needs a fresh root or the graceful drain would be skipped entirely
-	dctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
-	defer cancel()
-	drainErr := s.Drain(dctx)
-	shutErr := hs.Shutdown(dctx)
-	if drainErr != nil {
-		return drainErr
-	}
-	return shutErr
+	return listenAndDrain(ctx, addr, s.Handler(), s.Drain, drainTimeout)
 }
 
 func (s *TrackService) handleStart(w http.ResponseWriter, r *http.Request) {

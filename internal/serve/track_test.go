@@ -304,11 +304,11 @@ func TestTrackHTTPErrorMapping(t *testing.T) {
 	}
 }
 
-// TestTrackAttachedToServer pins co-hosting: the detection server mounts
-// the /track routes and folds the tracking snapshot into /metrics without
+// TestTrackAttachedToServer pins co-hosting: the detection pool mounts the
+// /track routes and folds the tracking snapshot into /metrics without
 // disturbing the headline detection batching numbers.
 func TestTrackAttachedToServer(t *testing.T) {
-	srv := newTestServer(t, &stubModel{}, Config{})
+	srv := newOneReplicaPool(t, &stubModel{}, Config{})
 	tr := testTracker(false)
 	ts := newTestTrackService(t, tr, TrackConfig{})
 	srv.Attach(ts)
@@ -328,7 +328,7 @@ func TestTrackAttachedToServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var m Metrics
+	var m PoolMetrics
 	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
 		t.Fatal(err)
 	}
